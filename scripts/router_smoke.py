@@ -4,9 +4,12 @@ Boots two real replica subprocesses and one router subprocess, drives
 concurrent localization traffic through the router, SIGKILLs one replica
 mid-traffic, and asserts the acceptance criterion of the replica tier:
 
+- **no keep-alive stall** — 20 POSTs over one client connection are not
+  slower than 20 over fresh connections by more than a generous margin;
 - **zero lost requests** — every request admitted during the kill window
   resolves to a 200 (``POST /localize`` is idempotent, so the router
-  replays connect- and send-phase failures on the surviving replica);
+  replays connect- and send-phase failures on the surviving replica, and
+  a pooled upstream connection to the killed replica is discarded);
 - **degraded visibility** — ``/router/healthz`` reports ``degraded-1-of-2``
   once the prober ejects the dead replica;
 - **recovery** — a replacement replica on the same port is readmitted by
@@ -45,6 +48,9 @@ from typing import Any
 import numpy as np
 
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from serve_smoke import check_keepalive_not_stalled  # noqa: E402 - sibling script import
 
 
 def _check(condition: bool, label: str) -> None:
@@ -178,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             _check(status == 200, f"steady-state localize ({payload['graph']['name']})")
             seen.add(headers["X-M3D-Replica"])
         _check(len(seen) == 2, f"consistent hashing spread traffic over both replicas: {seen}")
+        check_keepalive_not_stalled(router_port, seed=24)
 
         # Phase 2: SIGKILL one replica while concurrent traffic is in flight.
         victim_key = f"127.0.0.1:{port_a}"

@@ -7,8 +7,10 @@ contract-violating graph (must get a structured 422), a metrics read
 asserting the counters actually advanced, the trace plumbing (every
 response carries ``X-M3D-Trace-Id``, ``/debug/traces`` shows completed
 traces with stage spans and the per-stage histograms register on
-``/metrics``), and a full Prometheus-exposition validation via
-``scripts/check_prom.py``. Exits non-zero on any failure.
+``/metrics``), a full Prometheus-exposition validation via
+``scripts/check_prom.py``, and a keep-alive stall tripwire (20 POSTs over
+one connection must not be slower than 20 over fresh connections by more
+than a generous margin). Exits non-zero on any failure.
 
 Usage::
 
@@ -20,8 +22,10 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -54,6 +58,48 @@ def _check(condition: bool, label: str) -> None:
     if not condition:
         raise AssertionError(f"smoke check failed: {label}")
     print(f"ok: {label}")
+
+
+#: Keep-alive may trail fresh connections by at most this much (median). A
+#: response written in two sends on a Nagle socket adds ~40 ms per request.
+STALL_MARGIN_S = 0.02
+
+
+def _timed_post(conn: http.client.HTTPConnection, body: bytes) -> float:
+    started = time.perf_counter()
+    conn.request("POST", "/localize", body=body, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    response.read()
+    elapsed = time.perf_counter() - started
+    if response.status != 200:
+        raise AssertionError(f"smoke check failed: POST /localize returned {response.status}")
+    return elapsed
+
+
+def check_keepalive_not_stalled(port: int, seed: int, n: int = 20) -> None:
+    """``n`` POSTs over one keep-alive connection vs ``n`` over fresh ones,
+    all distinct graphs (no cache hits); fail on a keep-alive stall."""
+    rng = np.random.default_rng(seed)
+    graphs = synthesize_fault_dataset(rng, n_graphs=2 * n, n_gates=12, n_inputs=3)
+    bodies = [json.dumps({"graph": g.to_json_dict(), "top_k": 3}).encode() for g in graphs]
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        kept = [_timed_post(conn, body) for body in bodies[:n]]
+    finally:
+        conn.close()
+    fresh = []
+    for body in bodies[n:]:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            fresh.append(_timed_post(conn, body))
+        finally:
+            conn.close()
+    kept_ms = statistics.median(kept) * 1e3
+    fresh_ms = statistics.median(fresh) * 1e3
+    _check(
+        kept_ms <= fresh_ms + STALL_MARGIN_S * 1e3,
+        f"keep-alive median {kept_ms:.1f} ms is not stalled vs fresh {fresh_ms:.1f} ms",
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"check_prom: {problem}", file=sys.stderr)
         _check(not problems, "Prometheus exposition passes check_prom validation")
+
+        check_keepalive_not_stalled(port, seed=12)
         print("serve smoke: PASS")
         return 0
     finally:

@@ -47,18 +47,22 @@ import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
-from m3d_fault_loc.obs.context import current_trace_id, new_trace_id, sanitize_trace_id
-from m3d_fault_loc.obs.context import trace_context as _trace_context
+from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
 from m3d_fault_loc.obs.fleet import FleetScraper
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.trace import NULL_TRACER, Tracer
+from m3d_fault_loc.serve.http import (
+    CLOSE_HEADERS,
+    TRACE_HEADER,
+    BadRequest,
+    JSONRequestHandler,
+    KeepAliveHTTPServer,
+)
 from m3d_fault_loc.serve.metrics import MetricsRegistry
 from m3d_fault_loc.serve.resilience import Deadline, ExponentialBackoff, jittered
-from m3d_fault_loc.serve.server import TRACE_HEADER
 
 log = get_logger(__name__)
 
@@ -81,6 +85,10 @@ _FAILOVER_STATUSES = frozenset({500, 502, 503})
 #: POST paths that are pure functions of their payload and therefore safe
 #: to replay on a sibling after an ambiguous post-send failure.
 _IDEMPOTENT_POSTS = frozenset({"/localize"})
+
+#: Idle upstream keep-alive connections kept per replica. Only idempotent
+#: requests borrow them; a request that finds the pool empty dials fresh.
+MAX_IDLE_PER_REPLICA = 8
 
 #: Trace-id prefix stamped on the background prober's synthetic requests so
 #: probe traffic is distinguishable from user traffic in replica trace logs
@@ -138,6 +146,8 @@ class Replica:
         self._ejected_until = 0.0
         self._trial_claimed = False
         self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self.requests = 0
         self.failures_total = 0
         self.ejections = 0
@@ -195,6 +205,26 @@ class Replica:
                 self._failures = 0
                 self.ejections += 1
                 log.warning("replica_ejected", replica=self.key, cooldown_s=self.cooldown_s)
+
+    def take_idle(self) -> http.client.HTTPConnection | None:
+        """An idle keep-alive connection to this replica, if one is pooled."""
+        with self._idle_lock:
+            return self._idle.pop() if self._idle else None
+
+    def give_back(self, conn: http.client.HTTPConnection) -> None:
+        """Pool ``conn`` for reuse, or close it when the pool is full."""
+        with self._idle_lock:
+            pooled = len(self._idle) < MAX_IDLE_PER_REPLICA
+            if pooled:
+                self._idle.append(conn)
+        if not pooled:
+            conn.close()
+
+    def close_idle(self) -> None:
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
@@ -355,6 +385,8 @@ class ReplicaRouter:
         self._stop.set()
         if self._prober is not None:
             self._prober.join(timeout=5.0)
+        for replica in self.replicas:
+            replica.close_idle()
 
     def begin_drain(self) -> None:
         self._draining = True
@@ -524,7 +556,9 @@ class ReplicaRouter:
                 if attempts >= self.policy.max_attempts:
                     break
                 if deadline.expired():
-                    return self._deadline_response(attempts)
+                    return self._error_response(
+                        504, "deadline_exceeded", "deadline expired before routing", attempts
+                    )
                 replica = self._by_key[key]
                 if not replica.admit():
                     continue
@@ -537,7 +571,9 @@ class ReplicaRouter:
                     )
                 attempts += 1
                 t_attempt = time.perf_counter()
-                kind, result = self._attempt(replica, method, path, body, headers, deadline)
+                kind, result = self._attempt(
+                    replica, method, path, body, headers, deadline, idempotent
+                )
                 outcome = result.status if isinstance(result, RoutedResponse) else kind
                 self.tracer.record(
                     trace_id,
@@ -580,29 +616,21 @@ class ReplicaRouter:
                 if kind == "send" and not idempotent:
                     # The replica may have executed the request; replaying a
                     # non-idempotent call could double-apply it.
-                    return RoutedResponse(
-                        status=502,
-                        headers={"Content-Type": "application/json"},
-                        body=self._error_body(
-                            "replica_failed",
-                            f"replica {replica.key} failed mid-request "
-                            "(not retried: non-idempotent)",
-                        ),
+                    return self._error_response(
+                        502,
+                        "replica_failed",
+                        f"replica {replica.key} failed mid-request (not retried: non-idempotent)",
+                        attempts,
                         replica=replica.key,
-                        attempts=attempts,
                     )
             if last is not None:
                 return last  # best answer we have: the final replica 5xx
             self.m_no_replica.inc()
-            return RoutedResponse(
-                status=502,
-                headers={"Content-Type": "application/json"},
-                body=self._error_body(
-                    "no_replica_available",
-                    f"all {len(self.replicas)} replicas unreachable or ejected",
-                ),
-                replica=None,
-                attempts=attempts,
+            return self._error_response(
+                502,
+                "no_replica_available",
+                f"all {len(self.replicas)} replicas unreachable or ejected",
+                attempts,
             )
         finally:
             self.m_inflight.dec()
@@ -615,6 +643,7 @@ class ReplicaRouter:
         body: bytes | None,
         headers: dict[str, str],
         deadline: Deadline,
+        idempotent: bool,
     ) -> tuple[str, RoutedResponse | BaseException]:
         """One try against one replica.
 
@@ -624,107 +653,116 @@ class ReplicaRouter:
         after the request may have reached the replica (retry only if
         idempotent). The explicit ``connect()`` call is what makes the
         distinction trustworthy.
+
+        Idempotent requests first borrow an idle keep-alive connection. If
+        it fails before any response byte (a replica that closed or
+        restarted since it was pooled), the request is sent once more on a
+        fresh connection to the same replica, so a stale socket never counts
+        against the replica. Non-idempotent requests always dial fresh.
         """
         timeout = min(self.policy.attempt_timeout_s, max(0.001, deadline.remaining()))
+        fwd = {k: v for k, v in headers.items() if k in _FORWARD_REQUEST_HEADERS}
+        fwd[DEADLINE_HEADER] = str(max(1, int(deadline.remaining() * 1e3)))
+        conn = replica.take_idle() if idempotent else None
+        if conn is not None:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            kind, result = self._exchange(replica, conn, method, path, body, fwd, idempotent)
+            stale = (
+                kind == "send"
+                and isinstance(result, OSError)
+                and not isinstance(result, TimeoutError)
+            )
+            if not stale:
+                return kind, result
         conn = http.client.HTTPConnection(replica.host, replica.port, timeout=timeout)
         try:
-            try:
-                conn.connect()
-            except (OSError, http.client.HTTPException) as exc:
-                return ("connect", exc)
-            fwd = {k: v for k, v in headers.items() if k in _FORWARD_REQUEST_HEADERS}
-            fwd[DEADLINE_HEADER] = str(max(1, int(deadline.remaining() * 1e3)))
-            try:
-                conn.request(method, path, body=body, headers=fwd)
-                response = conn.getresponse()
-                payload = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                return ("send", exc)
-            relayed = {
-                name: value
-                for name, value in response.getheaders()
-                if name in _RELAY_RESPONSE_HEADERS
-            }
-            relayed[REPLICA_HEADER] = replica.key
-            return (
-                "response",
-                RoutedResponse(
-                    status=response.status,
-                    headers=relayed,
-                    body=payload,
-                    replica=replica.key,
-                    attempts=0,  # dispatch() stamps the true count
-                ),
-            )
-        finally:
+            conn.connect()
+        except (OSError, http.client.HTTPException) as exc:
             conn.close()
+            return ("connect", exc)
+        return self._exchange(replica, conn, method, path, body, fwd, idempotent)
 
-    def _deadline_response(self, attempts: int) -> RoutedResponse:
-        return RoutedResponse(
-            status=504,
-            headers={"Content-Type": "application/json"},
-            body=self._error_body("deadline_exceeded", "deadline expired before routing"),
-            replica=None,
-            attempts=attempts,
+    @staticmethod
+    def _exchange(
+        replica: Replica,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: dict[str, str],
+        reusable: bool,
+    ) -> tuple[str, RoutedResponse | BaseException]:
+        """Send one request on a connected ``conn`` and read the response.
+
+        ``conn`` goes back to the replica's idle pool only when ``reusable``
+        and the response completed without asking to close; otherwise, and
+        on any error, it is closed.
+        """
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            return ("send", exc)
+        if reusable and not response.will_close:
+            replica.give_back(conn)
+        else:
+            conn.close()
+        relayed = {
+            name: value
+            for name, value in response.getheaders()
+            if name in _RELAY_RESPONSE_HEADERS
+        }
+        relayed[REPLICA_HEADER] = replica.key
+        return (
+            "response",
+            RoutedResponse(
+                status=response.status,
+                headers=relayed,
+                body=payload,
+                replica=replica.key,
+                attempts=0,  # dispatch() stamps the true count
+            ),
         )
 
     @staticmethod
-    def _error_body(error: str, detail: str) -> bytes:
+    def _error_response(
+        status: int, error: str, detail: str, attempts: int, replica: str | None = None
+    ) -> RoutedResponse:
         payload = {"error": error, "detail": detail}
         trace_id = current_trace_id()
         if trace_id is not None:
             payload["trace_id"] = trace_id
-        return json.dumps(payload).encode()
+        return RoutedResponse(
+            status=status,
+            headers={"Content-Type": "application/json"},
+            body=json.dumps(payload).encode(),
+            replica=replica,
+            attempts=attempts,
+        )
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(KeepAliveHTTPServer):
     """Threaded front for a :class:`ReplicaRouter`."""
-
-    daemon_threads = True
 
     def __init__(self, address: tuple[str, int], router: ReplicaRouter):
         super().__init__(address, _RouterHandler)
         self.router = router
 
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
 
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONRequestHandler):
     server_version = "m3d-route/0.1"
-    protocol_version = "HTTP/1.1"
+    access_event = "router_access"
     server: RouterHTTPServer
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("router_access", client=self.address_string(), line=format % args)
+    def _send_own(self, status: int, payload: dict[str, Any]) -> None:
+        """A response the router produced itself (no replica involved)."""
+        self.send_json(status, payload, {ATTEMPTS_HEADER: "0"})
 
-    def _send(self, response: RoutedResponse) -> None:
-        self.send_response(response.status)
-        headers = dict(response.headers)
-        headers.setdefault("Content-Type", "application/json")
-        headers[ATTEMPTS_HEADER] = str(response.attempts)
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            headers.setdefault(TRACE_HEADER, trace_id)
-        headers["Content-Length"] = str(len(response.body))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        self._send(
-            RoutedResponse(
-                status=status,
-                headers={"Content-Type": "application/json"},
-                body=json.dumps(payload).encode(),
-                replica=None,
-                attempts=0,
-            )
-        )
-
-    def _handle(self, method: str) -> None:
+    def respond(self, method: str) -> None:
         router = self.server.router
         path = urlparse(self.path).path
         if path == "/router/healthz":
@@ -732,34 +770,30 @@ class _RouterHandler(BaseHTTPRequestHandler):
             status = 200 if health["status"] == "ok" or health["status"].startswith(
                 "degraded"
             ) else 503
-            self._send_json(status, health)
+            self._send_own(status, health)
             return
         if path == "/router/metrics":
-            self._send_json(200, router.metrics.to_json_dict())
+            self._send_own(200, router.metrics.to_json_dict())
             return
         if path == "/router/fleet":
-            self._send_json(200, router.fleet.scrape())
+            self._send_own(200, router.fleet.scrape())
             return
         if router.draining:
-            self._send_json(503, {"error": "draining", "detail": "router is draining"})
+            self._send_own(503, {"error": "draining", "detail": "router is draining"})
             return
-        body: bytes | None = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            body = self.rfile.read(length)
+        try:
+            body = self.read_body(required=False)
+        except BadRequest as exc:
+            headers = {ATTEMPTS_HEADER: "0", **CLOSE_HEADERS}
+            self.send_error_json(400, "bad_request", headers, detail=str(exc))
+            return
         headers = {k: v for k, v in self.headers.items()}
-        response = router.dispatch(method, self.path, body, headers)
-        self._send(response)
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        trace_id = sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
-        with _trace_context(trace_id):
-            self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        trace_id = sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
-        with _trace_context(trace_id):
-            self._handle("POST")
+        response = router.dispatch(method, self.path, body or None, headers)
+        self.send_bytes(
+            response.status,
+            response.body,
+            {**response.headers, ATTEMPTS_HEADER: str(response.attempts)},
+        )
 
 
 def create_router_server(

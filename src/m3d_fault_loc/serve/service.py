@@ -91,6 +91,8 @@ log = get_logger(__name__)
 
 #: How often an idle worker wakes to check for stop/generation changes.
 _IDLE_POLL_S = 0.05
+#: How often a collecting batch re-checks requests still being admitted.
+_ADMISSION_POLL_S = 0.001
 #: How often the drain loop re-checks for an empty pipeline.
 _DRAIN_POLL_S = 0.005
 
@@ -272,6 +274,11 @@ class LocalizationService:
             for i in range(num_workers)
         ]
         self._watchdog: threading.Thread | None = None
+        #: Requests admitted by localize() and not yet queued or returned.
+        #: While it is zero and a shard queue is empty, nothing can join the
+        #: batch that shard is collecting, so the batch closes early.
+        self._admitting = 0
+        self._admission_lock = threading.Lock()
         self._start_lock = threading.Lock()
         self._reload_lock = threading.Lock()
         self._stop_requested = threading.Event()
@@ -758,6 +765,58 @@ class LocalizationService:
         reconstructs the request total while the children explain where the
         await went.
         """
+        with self._admission_lock:
+            self._admitting += 1
+        queued = False
+        try:
+            admitted = self._admit(graph, top_k, deadline, started, trace_id, scenario)
+            if isinstance(admitted, LocalizationResult):
+                return admitted  # cache hit
+            pending = admitted
+            pending.enqueued_at = time.perf_counter()
+            shard = self._shard_for(pending.digest)
+            try:
+                # Queued and no longer admitting in one step, so a collecting
+                # worker always sees this request in one place or the other.
+                with self._admission_lock:
+                    shard.queue.put_nowait(pending)
+                    self._admitting -= 1
+                    queued = True
+            except queue.Full:
+                self.m_shed.inc()
+                raise LoadSheddedError(self.max_queue, self._shed_retry_after_s()) from None
+        finally:
+            if not queued:
+                with self._admission_lock:
+                    self._admitting -= 1
+        self._set_queue_gauges()
+        with self.tracer.span("await_result", trace_id=trace_id):
+            try:
+                result: LocalizationResult = pending.future.result(timeout=deadline.remaining())
+            except FutureTimeoutError:
+                self.m_deadline.inc()
+                raise DeadlineExceededError(deadline.budget_s, where="await") from None
+            except DeadlineExceededError:
+                self.m_deadline.inc()
+                raise
+            except Exception:
+                self.m_errors.inc()
+                raise
+        latency = time.perf_counter() - started
+        self.m_latency.observe(latency)
+        return replace(result, latency_s=latency, trace_id=trace_id)
+
+    def _admit(
+        self,
+        graph: CircuitGraph,
+        top_k: int,
+        deadline: Deadline,
+        started: float,
+        trace_id: str,
+        scenario: str,
+    ) -> LocalizationResult | _Pending:
+        """Gate, cache-check and breaker-check one request: a cached result,
+        or the pending record to queue."""
         t0 = time.perf_counter()
         engine = self._engine_for(scenario)
         try:
@@ -804,7 +863,7 @@ class LocalizationService:
             self.m_breaker_rejections.inc()
             raise CircuitOpenError(jittered(self._breaker.retry_after_s()))
 
-        pending = _Pending(
+        return _Pending(
             graph=graph,
             digest=digest,
             top_k=top_k,
@@ -813,29 +872,6 @@ class LocalizationService:
             trace_id=trace_id,
             scenario=scenario,
         )
-        pending.enqueued_at = time.perf_counter()
-        shard = self._shard_for(digest)
-        try:
-            shard.queue.put_nowait(pending)
-        except queue.Full:
-            self.m_shed.inc()
-            raise LoadSheddedError(self.max_queue, self._shed_retry_after_s()) from None
-        self._set_queue_gauges()
-        with self.tracer.span("await_result", trace_id=trace_id):
-            try:
-                result: LocalizationResult = pending.future.result(timeout=deadline.remaining())
-            except FutureTimeoutError:
-                self.m_deadline.inc()
-                raise DeadlineExceededError(deadline.budget_s, where="await") from None
-            except DeadlineExceededError:
-                self.m_deadline.inc()
-                raise
-            except Exception:
-                self.m_errors.inc()
-                raise
-        latency = time.perf_counter() - started
-        self.m_latency.observe(latency)
-        return replace(result, latency_s=latency, trace_id=trace_id)
 
     # -- worker ------------------------------------------------------------
 
@@ -888,16 +924,30 @@ class LocalizationService:
                 log.exception("worker_iteration_failed", worker=shard.index)
 
     def _collect_batch(self, shard: _WorkerShard, first: _Pending) -> list[_Pending]:
+        """Grow a batch from ``first`` for up to ``batch_window_s``.
+
+        The batch closes early once the shard queue is empty and no request
+        is between admission and its queue: nothing else can join it then.
+        """
         batch = [first]
         window_ends = time.monotonic() + self.batch_window_s
         while len(batch) < self.max_batch:
+            # Yield the GIL before judging the batch complete, so request
+            # threads that are runnable reach admission first. One yield can
+            # land on a thread that only blocks again; two catch nearly all.
+            for _ in range(2):
+                time.sleep(0)
+            with self._admission_lock:
+                idle = self._admitting == 0 and shard.queue.empty()
             remaining = window_ends - time.monotonic()
-            if remaining <= 0:
+            if idle or remaining <= 0:
                 break
             try:
-                nxt = shard.queue.get(timeout=remaining)
+                # Short waits: an admitted request may also leave without
+                # queueing (reject, cache hit, shed), which ends the wait.
+                nxt = shard.queue.get(timeout=min(remaining, _ADMISSION_POLL_S))
             except queue.Empty:
-                break
+                continue
             if nxt is None:
                 self._stop_requested.set()
                 break

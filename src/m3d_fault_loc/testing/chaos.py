@@ -40,7 +40,7 @@ import socket
 import threading
 import time
 from collections.abc import Sequence
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any
 
@@ -48,6 +48,7 @@ import numpy as np
 
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.serve.http import KeepAliveHTTPServer
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import WORKER_THREAD_PREFIX
 
@@ -360,7 +361,7 @@ class _StubReplicaHandler(BaseHTTPRequestHandler):
         self._handle("POST")
 
 
-class StubReplica(ThreadingHTTPServer):
+class StubReplica(KeepAliveHTTPServer):
     """Programmable fake ``m3d-serve`` replica for router chaos tests.
 
     Healthy by default: answers ``/healthz`` with 200 and echoes everything
@@ -372,7 +373,8 @@ class StubReplica(ThreadingHTTPServer):
     - :meth:`drop_next` — the next N connections are closed mid-exchange
       (the ambiguous post-send failure);
     - :attr:`partitioned` — while ``True``, the listener is not accepting:
-      :meth:`partition` closes the socket so connects fail fast, and
+      :meth:`partition` closes the socket so connects fail fast and ends
+      every open keep-alive connection (as a real partition would), and
       :meth:`heal` rebinds on the *same* port.
 
     For fleet-federation tests, ``/healthz`` reports :attr:`health_status`
@@ -380,7 +382,6 @@ class StubReplica(ThreadingHTTPServer):
     stub can impersonate a real replica's instrument registry.
     """
 
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, name: str = "stub", host: str = "127.0.0.1", hang_s: float = 5.0):
@@ -396,12 +397,9 @@ class StubReplica(ThreadingHTTPServer):
         self._requests: list[tuple[str, str]] = []
         self._trace_ids: list[str] = []
         self._served = 0
+        self._accepted = 0
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
 
     @property
     def key(self) -> str:
@@ -468,6 +466,16 @@ class StubReplica(ThreadingHTTPServer):
         self.start()
 
     # -- accounting --------------------------------------------------------
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._lock:
+            self._accepted += 1
+        super().process_request(request, client_address)
+
+    def accepted_count(self) -> int:
+        """TCP connections accepted so far (keep-alive reuse keeps it low)."""
+        with self._lock:
+            return self._accepted
 
     def next_action(self) -> str:
         with self._lock:
