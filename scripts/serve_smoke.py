@@ -8,9 +8,11 @@ asserting the counters actually advanced, the trace plumbing (every
 response carries ``X-M3D-Trace-Id``, ``/debug/traces`` shows completed
 traces with stage spans and the per-stage histograms register on
 ``/metrics``), a full Prometheus-exposition validation via
-``scripts/check_prom.py``, and a keep-alive stall tripwire (20 POSTs over
+``scripts/check_prom.py``, a keep-alive stall tripwire (20 POSTs over
 one connection must not be slower than 20 over fresh connections by more
-than a generous margin). Exits non-zero on any failure.
+than a generous margin), and a hostile-payload tripwire (graphs that once
+crashed the gate or made the decoder allocate ~900 MB must get a 400/422
+and leave the server's peak RSS nearly flat). Exits non-zero on any failure.
 
 Usage::
 
@@ -100,6 +102,53 @@ def check_keepalive_not_stalled(port: int, seed: int, n: int = 20) -> None:
         kept_ms <= fresh_ms + STALL_MARGIN_S * 1e3,
         f"keep-alive median {kept_ms:.1f} ms is not stalled vs fresh {fresh_ms:.1f} ms",
     )
+
+
+#: Peak-RSS growth the hostile payloads may cause, all together.
+HOSTILE_HWM_BUDGET_KB = 20 * 1024
+
+
+def _hostile_graphs(graph: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Small graph payloads that must be rejected with a 400 or a 422."""
+
+    def corrupt(path: tuple[str, ...], value: Any) -> dict[str, Any]:
+        payload = json.loads(json.dumps(graph))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+
+    n_edges = graph["edge_type"]["shape"][0]
+    short = corrupt(("edge_type", "data"), graph["edge_type"]["data"][:-1])
+    short["edge_type"]["shape"] = [n_edges - 1]
+    return {
+        "x dtype S50000000": corrupt(("x", "dtype"), "S50000000"),
+        "edge_type shorter than E": short,
+        "edge_type of shape (1, E)": corrupt(("edge_type", "shape"), [1, n_edges]),
+        "edge_index float64": corrupt(("edge_index", "dtype"), "float64"),
+        "tier dtype <U3": corrupt(("tier", "dtype"), "<U3"),
+        'num_tiers "2"': corrupt(("num_tiers",), "2"),
+        'fault_index "1"': corrupt(("fault_index",), "1"),
+    }
+
+
+def _vm_hwm_kb(pid: int) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise AssertionError("no VmHWM line in /proc status")
+
+
+def check_hostile_payloads_rejected(port: int, pid: int, graph: dict[str, Any]) -> None:
+    """Each hostile graph gets a 400/422 (never a 500), and together they
+    raise the server's peak RSS by less than the budget."""
+    hwm_before = _vm_hwm_kb(pid)
+    for label, payload in _hostile_graphs(graph).items():
+        status, _, _ = _request(port, "POST", "/localize", {"graph": payload})
+        _check(status in (400, 422), f"hostile graph ({label}) rejected with {status}")
+    grown = _vm_hwm_kb(pid) - hwm_before
+    _check(grown < HOSTILE_HWM_BUDGET_KB, f"hostile graphs grew peak RSS by {grown} kB only")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,6 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         _check(not problems, "Prometheus exposition passes check_prom validation")
 
         check_keepalive_not_stalled(port, seed=12)
+        check_hostile_payloads_rejected(port, proc.pid, graph.to_json_dict())
         print("serve smoke: PASS")
         return 0
     finally:

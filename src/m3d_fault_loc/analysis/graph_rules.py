@@ -22,6 +22,15 @@ from m3d_fault_loc.graph.schema import (
 )
 
 
+def _is_index_array(arr: object) -> bool:
+    """True for an integer ndarray ``np.bincount`` can take (so not uint64)."""
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.dtype.kind in "iu"
+        and np.can_cast(arr.dtype, np.intp)
+    )
+
+
 def _edges_usable(graph: CircuitGraph) -> bool:
     """True when edge_index is well-formed enough for edge rules to run.
 
@@ -29,7 +38,7 @@ def _edges_usable(graph: CircuitGraph) -> bool:
     other rules quietly skip rather than crash or double-report.
     """
     ei = graph.edge_index
-    if not isinstance(ei, np.ndarray) or ei.ndim != 2 or ei.shape[0] != 2:
+    if not _is_index_array(ei) or ei.ndim != 2 or ei.shape[0] != 2:
         return False
     if ei.shape[1] and (ei.min() < 0 or ei.max() >= graph.num_nodes):
         return False
@@ -38,8 +47,28 @@ def _edges_usable(graph: CircuitGraph) -> bool:
 
 def _tiers_usable(graph: CircuitGraph) -> bool:
     """True when the tier array can be indexed per node (else M3D106 reports)."""
-    tier = graph.tier
-    return isinstance(tier, np.ndarray) and tier.shape == (graph.num_nodes,)
+    return _is_index_array(graph.tier) and graph.tier.shape == (graph.num_nodes,)
+
+
+def _edge_types_usable(graph: CircuitGraph) -> bool:
+    """True when edges, tiers and one integer edge type per edge are usable."""
+    et = graph.edge_type
+    return (
+        _edges_usable(graph)
+        and _tiers_usable(graph)
+        and isinstance(et, np.ndarray)
+        and et.dtype.kind in "iu"
+        and et.shape == (graph.num_edges,)
+    )
+
+
+def _flags_usable(graph: CircuitGraph) -> bool:
+    """True when is_pi/is_po hold one numeric truth value per node."""
+    return all(
+        isinstance(arr, np.ndarray) and arr.dtype.kind in "biuf"
+        and arr.shape == (graph.num_nodes,)
+        for arr in (graph.is_pi, graph.is_po)
+    )
 
 
 class CyclicTimingGraphRule(GraphRule):
@@ -53,28 +82,31 @@ class CyclicTimingGraphRule(GraphRule):
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
         if not _edges_usable(graph):
             return []
+        src, dst = graph.edge_index
+        if np.all(src < dst):
+            return []  # node order is already topological (the builder's order)
+        # Kahn's algorithm one topological level at a time: peel every
+        # zero-in-degree node at once, then drop the edges they drive. The
+        # nodes never peeled are exactly those with in-degree left over.
         n = graph.num_nodes
-        indeg = graph.in_degrees().copy()
-        fanouts: list[list[int]] = [[] for _ in range(n)]
-        for u, v in graph.edge_index.T:
-            fanouts[int(u)].append(int(v))
-        stack = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            seen += 1
-            for v in fanouts[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        if seen == n:
+        indeg = np.bincount(dst, minlength=n)
+        peeled = indeg == 0
+        frontier = peeled.copy()
+        while src.size and frontier.any():
+            driven = frontier[src]
+            indeg -= np.bincount(dst[driven], minlength=n)
+            src, dst = src[~driven], dst[~driven]
+            frontier = (indeg == 0) & ~peeled
+            peeled |= frontier
+        stuck = np.flatnonzero(~peeled)
+        if not stuck.size:
             return []
-        cyclic = [graph.node_names[i] for i in range(n) if indeg[i] > 0]
+        cyclic = [graph.node_names[i] for i in stuck[:16].tolist()]
         return [
             self.violation(
-                f"combinational cycle through {len(cyclic)} node(s): {', '.join(cyclic[:5])}",
+                f"combinational cycle through {stuck.size} node(s): {', '.join(cyclic[:5])}",
                 location=f"graph {graph.name}",
-                nodes=cyclic[:16],
+                nodes=cyclic,
             )
         ]
 
@@ -88,19 +120,19 @@ class DanglingNetRule(GraphRule):
     description = "no dangling (undriven) or floating (unobserved) nets"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        if not _edges_usable(graph):
+        if not _edges_usable(graph) or not _flags_usable(graph):
             return []
+        undriven = (graph.in_degrees() == 0) & np.logical_not(graph.is_pi)
+        floating = (graph.out_degrees() == 0) & np.logical_not(graph.is_po)
         findings: list[Violation] = []
-        indeg = graph.in_degrees()
-        outdeg = graph.out_degrees()
-        for i in range(graph.num_nodes):
+        for i in np.flatnonzero(undriven | floating).tolist():
             name = graph.node_names[i]
-            if indeg[i] == 0 and not graph.is_pi[i]:
+            if undriven[i]:
                 findings.append(
                     self.violation("undriven net: node has no fanin and is not a primary input",
                                    location=f"node {name}")
                 )
-            if outdeg[i] == 0 and not graph.is_po[i]:
+            if floating[i]:
                 findings.append(
                     self.violation("floating net: node has no fanout and is not a primary output",
                                    location=f"node {name}")
@@ -123,6 +155,8 @@ class TierRangeRule(GraphRule):
                                location=f"graph {graph.name}")
             )
         tier = np.asarray(graph.tier).ravel()
+        if tier.dtype.kind not in "biu":
+            return findings  # a non-integer tier is M3D106's dtype finding
         for i in np.nonzero((tier < 0) | (tier >= max(graph.num_tiers, 1)))[0]:
             name = graph.node_names[int(i)] if int(i) < len(graph.node_names) else str(int(i))
             findings.append(
@@ -143,23 +177,22 @@ class MivAdjacencyRule(GraphRule):
     description = "MIV edges must cross exactly one tier boundary"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        if not _edges_usable(graph) or not _tiers_usable(graph):
+        if not _edge_types_usable(graph):
             return []
-        findings: list[Violation] = []
-        for e in range(graph.num_edges):
-            if int(graph.edge_type[e]) != EDGE_MIV:
-                continue
-            u, v = int(graph.edge_index[0, e]), int(graph.edge_index[1, e])
-            span = abs(int(graph.tier[u]) - int(graph.tier[v]))
-            if span != 1:
-                findings.append(
-                    self.violation(
-                        f"MIV edge spans {span} tier boundaries (must be exactly 1)",
-                        location=f"edge {graph.node_names[u]}->{graph.node_names[v]}",
-                        span=span,
-                    )
-                )
-        return findings
+        src, dst = graph.edge_index
+        miv = np.flatnonzero(graph.edge_type == EDGE_MIV)
+        tier = graph.tier.astype(np.int64, copy=False)
+        spans = np.abs(tier[src[miv]] - tier[dst[miv]])
+        wrong = spans != 1
+        names = graph.node_names
+        return [
+            self.violation(
+                f"MIV edge spans {span} tier boundaries (must be exactly 1)",
+                location=f"edge {names[src[e]]}->{names[dst[e]]}",
+                span=span,
+            )
+            for e, span in zip(miv[wrong].tolist(), spans[wrong].tolist())
+        ]
 
 
 class EdgeTierConsistencyRule(GraphRule):
@@ -170,20 +203,24 @@ class EdgeTierConsistencyRule(GraphRule):
     description = "edge type must agree with endpoint tiers"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        if not _edges_usable(graph) or not _tiers_usable(graph):
+        if not _edge_types_usable(graph):
             return []
+        et = graph.edge_type
+        src, dst = graph.edge_index
+        tier = graph.tier
+        unknown = (et != EDGE_NET) & (et != EDGE_MIV)
+        crossing = (et == EDGE_NET) & (tier[src] != tier[dst])
         findings: list[Violation] = []
-        for e in range(graph.num_edges):
-            et = int(graph.edge_type[e]) if e < len(graph.edge_type) else EDGE_NET
-            u, v = int(graph.edge_index[0, e]), int(graph.edge_index[1, e])
+        for e in np.flatnonzero(unknown | crossing).tolist():
+            u, v = src[e], dst[e]
             loc = f"edge {graph.node_names[u]}->{graph.node_names[v]}"
-            if et not in (EDGE_NET, EDGE_MIV):
-                findings.append(self.violation(f"unknown edge type {et}", location=loc))
-            elif et == EDGE_NET and int(graph.tier[u]) != int(graph.tier[v]):
+            if unknown[e]:
+                findings.append(self.violation(f"unknown edge type {int(et[e])}", location=loc))
+            else:
                 findings.append(
                     self.violation(
                         "intra-tier edge connects different tiers "
-                        f"({int(graph.tier[u])} -> {int(graph.tier[v])}); "
+                        f"({int(tier[u])} -> {int(tier[v])}); "
                         "tier-crossing edges must be typed as MIV",
                         location=loc,
                     )
@@ -235,6 +272,8 @@ class SchemaConformanceRule(GraphRule):
             et = graph.edge_type
             if not isinstance(et, np.ndarray) or et.shape != (e,):
                 bad(f"edge_type must have shape ({e},), got {getattr(et, 'shape', None)}")
+            elif et.dtype != INDEX_DTYPE:
+                bad(f"edge_type must be {INDEX_DTYPE}, got {et.dtype}")
             ea = graph.edge_attr
             if (
                 not isinstance(ea, np.ndarray)

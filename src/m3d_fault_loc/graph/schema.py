@@ -8,6 +8,7 @@ statically validates conformance before the loader hands graphs to the model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -38,6 +39,57 @@ INDEX_DTYPE = np.dtype(np.int64)
 #: Edge types: intra-tier net vs. monolithic inter-tier via.
 EDGE_NET = 0
 EDGE_MIV = 1
+
+#: Array-valued graph fields, in storage order.
+ARRAY_FIELDS: tuple[str, ...] = (
+    "x", "tier", "is_pi", "is_po", "edge_index", "edge_type", "edge_attr",
+)
+
+#: dtype kinds a serialized array may declare: bool, int, uint, float. The
+#: itemsize cap also rules out strings, objects and structured/subarray dtypes,
+#: whose one declared element can be megabytes wide.
+PAYLOAD_DTYPE_KINDS = "biuf"
+PAYLOAD_MAX_ITEMSIZE = 8
+
+_MISSING = object()
+
+
+def _field(payload: dict[str, Any], key: str, kind: type, default: Any = _MISSING) -> Any:
+    """``payload[key]``, which must be a ``kind`` (``bool`` is not an int)."""
+    value = payload.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _decode_array(key: str, spec: dict[str, Any]) -> np.ndarray:
+    """One ``{"dtype", "shape", "data"}`` spec, validated before allocating."""
+    dtype_name, shape, data = spec.get("dtype"), spec.get("shape"), spec.get("data")
+    try:
+        dtype = np.dtype(dtype_name) if isinstance(dtype_name, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if (
+        dtype is None
+        or dtype.kind not in PAYLOAD_DTYPE_KINDS
+        or dtype.itemsize > PAYLOAD_MAX_ITEMSIZE
+    ):
+        raise ValueError(f"{key}: dtype must name a bool/int/float type, got {dtype_name!r:.40}")
+    if not (
+        isinstance(shape, list)
+        and len(shape) <= 2
+        and all(type(dim) is int and dim >= 0 for dim in shape)
+    ):
+        raise ValueError(f"{key}: shape must be <= 2 non-negative ints, got {shape!r:.40}")
+    if not isinstance(data, list) or len(data) != math.prod(shape):
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise ValueError(f"{key}: shape {shape} needs {math.prod(shape)} values, got {got}")
+    arr = np.asarray(data, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError(f"{key}: data must be a flat list of numbers")
+    return arr.reshape(shape)
 
 
 @dataclass
@@ -74,16 +126,14 @@ class CircuitGraph:
         return self.x[:, FEATURE_COLUMNS.index(column)]
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=INDEX_DTYPE)
-        if self.num_edges:
-            np.add.at(deg, self.edge_index[1], 1)
-        return deg
+        return np.bincount(self.edge_index[1], minlength=self.num_nodes).astype(
+            INDEX_DTYPE, copy=False
+        )
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=INDEX_DTYPE)
-        if self.num_edges:
-            np.add.at(deg, self.edge_index[0], 1)
-        return deg
+        return np.bincount(self.edge_index[0], minlength=self.num_nodes).astype(
+            INDEX_DTYPE, copy=False
+        )
 
     # -- serialization ----------------------------------------------------
 
@@ -98,13 +148,7 @@ class CircuitGraph:
             "name": self.name,
             "num_tiers": self.num_tiers,
             "node_names": list(self.node_names),
-            "x": arr(self.x),
-            "tier": arr(self.tier),
-            "is_pi": arr(self.is_pi),
-            "is_po": arr(self.is_po),
-            "edge_index": arr(self.edge_index),
-            "edge_type": arr(self.edge_type),
-            "edge_attr": arr(self.edge_attr),
+            **{key: arr(getattr(self, key)) for key in ARRAY_FIELDS},
             "fault_index": self.fault_index,
             "meta": self.meta,
         }
@@ -116,24 +160,27 @@ class CircuitGraph:
         Dtypes are reconstructed as written rather than coerced to the schema
         dtype — a payload that declares the wrong dtype round-trips to a graph
         the contract checker can flag, instead of being silently "fixed".
+        Decoding is strict about everything else: a field of the wrong JSON
+        type, a non-numeric dtype or a shape that disagrees with its data
+        raises ``ValueError`` before any array is allocated, so a small
+        payload cannot make the decoder allocate more than it holds.
         """
-
-        def arr(spec: dict[str, Any]) -> np.ndarray:
-            return np.asarray(spec["data"], dtype=np.dtype(spec["dtype"])).reshape(spec["shape"])
-
+        if not isinstance(payload, dict):
+            raise ValueError(f"graph payload must be an object, got {type(payload).__name__}")
+        node_names = _field(payload, "node_names", list)
+        if not all(isinstance(name, str) for name in node_names):
+            raise ValueError("node_names must be a list of strings")
+        fault_index = payload.get("fault_index")
+        if fault_index is not None:
+            fault_index = _field(payload, "fault_index", int)
+        arrays = {key: _decode_array(key, _field(payload, key, dict)) for key in ARRAY_FIELDS}
         return cls(
-            name=payload["name"],
-            num_tiers=payload["num_tiers"],
-            node_names=list(payload["node_names"]),
-            x=arr(payload["x"]),
-            tier=arr(payload["tier"]),
-            is_pi=arr(payload["is_pi"]),
-            is_po=arr(payload["is_po"]),
-            edge_index=arr(payload["edge_index"]),
-            edge_type=arr(payload["edge_type"]),
-            edge_attr=arr(payload["edge_attr"]),
-            fault_index=payload.get("fault_index"),
-            meta=dict(payload.get("meta", {})),
+            name=_field(payload, "name", str),
+            num_tiers=_field(payload, "num_tiers", int),
+            node_names=node_names,
+            fault_index=fault_index,
+            meta=dict(_field(payload, "meta", dict, default={})),
+            **arrays,
         )
 
     def save(self, path: str | Path) -> Path:

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from m3d_fault_loc.graph.schema import CircuitGraph
+from m3d_fault_loc.graph.schema import ARRAY_FIELDS, CircuitGraph
 
 #: Bump when the digest recipe changes; keys from different recipes never mix.
 _DIGEST_RECIPE = b"m3d-graph-digest-v1"
@@ -32,7 +32,7 @@ def graph_digest(graph: CircuitGraph) -> str:
     """Canonical content hash of everything that determines model output."""
     h = hashlib.sha256(_DIGEST_RECIPE)
     h.update(str(graph.num_tiers).encode())
-    for field in ("x", "tier", "is_pi", "is_po", "edge_index", "edge_type", "edge_attr"):
+    for field in ARRAY_FIELDS:
         arr = np.ascontiguousarray(getattr(graph, field))
         h.update(field.encode())
         h.update(str(arr.dtype).encode())

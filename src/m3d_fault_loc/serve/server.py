@@ -227,7 +227,7 @@ class _Handler(JSONRequestHandler):
     def _parse_json_body(body: bytes) -> dict[str, Any]:
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise BadRequest(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "graph" not in payload:
             raise BadRequest('payload must be an object with a "graph" field')

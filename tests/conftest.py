@@ -1,4 +1,5 @@
-"""Shared fixtures: the racecheck lock-order sanitizer for threaded suites.
+"""Shared fixtures: the racecheck lock-order sanitizer for threaded suites,
+and the ``hypothesis`` profile every property test runs under.
 
 The chaos and concurrency-stress suites run with ``threading.Lock``/``RLock``
 instrumented by :mod:`m3d_fault_loc.testing.racecheck`. Any lock-order
@@ -15,8 +16,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import pytest
+from hypothesis import settings
 
 from m3d_fault_loc.testing import racecheck
+
+#: Property tests draw the same examples on every run, so CI cannot flake
+#: on a newly found example or on a slow runner's deadline.
+settings.register_profile("m3d", derandomize=True, database=None, deadline=None)
+settings.load_profile("m3d")
 
 #: Test modules whose lock traffic runs under the sanitizer.
 RACECHECK_MODULES = (

@@ -128,6 +128,64 @@ def test_malformed_payloads_get_400(live_server):
         conn.close()
 
 
+def _corrupt(graph, field, key, value):
+    payload = graph.to_json_dict()
+    if key is None:
+        payload[field] = value
+    else:
+        payload[field][key] = value
+    return payload
+
+
+def _edge_type_short(graph):
+    payload = graph.to_json_dict()
+    payload["edge_type"]["data"] = payload["edge_type"]["data"][:-1]
+    payload["edge_type"]["shape"] = [graph.num_edges - 1]
+    return payload
+
+
+#: Graphs that parse but used to crash a contract rule (a 500 with a logged
+#: traceback): name -> (payload builder, status, rule id or None for a 400).
+CRASHERS = {
+    "edge-type-short": (_edge_type_short, 422, "M3D106"),
+    "edge-type-row": (
+        lambda g: _corrupt(g, "edge_type", "shape", [1, g.num_edges]), 422, "M3D106"
+    ),
+    "edge-index-float": (lambda g: _corrupt(g, "edge_index", "dtype", "float64"), 422, "M3D106"),
+    "tier-unicode": (lambda g: _corrupt(g, "tier", "dtype", "<U3"), 400, None),
+    "num-tiers-string": (lambda g: _corrupt(g, "num_tiers", None, "2"), 400, None),
+    "fault-index-string": (lambda g: _corrupt(g, "fault_index", None, "1"), 400, None),
+    "bytes-dtype-50MB": (lambda g: _corrupt(g, "x", "dtype", "S50000000"), 400, None),
+}
+
+
+@pytest.mark.parametrize("name", CRASHERS)
+def test_malformed_graphs_get_422_or_400_never_500(live_server, graph, name):
+    build, expected_status, rule_id = CRASHERS[name]
+    status, body = request(live_server, "POST", "/localize", {"graph": build(graph)})
+    assert status == expected_status, body
+    if rule_id is None:
+        assert body["error"] == "bad_request"
+        assert "unreadable graph payload: ValueError" in body["detail"]
+    else:
+        assert body["error"] == "contract_violation"
+        assert rule_id in {v["rule_id"] for v in body["violations"]}
+
+
+@pytest.mark.parametrize(
+    "raw", [b"[" * 100_000, b'{"graph": "\xff\xfe"}'], ids=["deep-nesting", "bad-utf8"]
+)
+def test_undecodable_bodies_get_400(live_server, raw):
+    conn = http.client.HTTPConnection("127.0.0.1", live_server.port, timeout=10)
+    try:
+        conn.request("POST", "/localize", body=raw)
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"] == "bad_request"
+    finally:
+        conn.close()
+
+
 def test_unknown_routes_get_404(live_server):
     assert request(live_server, "GET", "/nope")[0] == 404
     assert request(live_server, "POST", "/nope")[0] == 404
