@@ -3,31 +3,22 @@
 Each case prepares a zero-arg closure that exercises one production code
 path on a pinned workload — the same functions the serving stack calls, not
 reimplementations — plus metadata (work units per call) and an optional
-cleanup. ``node_scores_batch_legacy`` is the one deliberate exception: it
-replays the **pre-optimization** batch path (fresh per-graph operator build
-+ ``scipy.sparse.block_diag`` re-pack + unconditional ``astype`` + fresh
-forward allocations every call) so every ``BENCH_<n>.json`` carries its own
-before/after evidence for the cached-operator speedup.
+cleanup.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
-import numpy as np
-import scipy.sparse as sp
+from typing import Any, Callable
 
 from m3d_fault_loc.analysis.engine import default_engine
 from m3d_fault_loc.bench.workloads import Workload, repeat_batch
 from m3d_fault_loc.data.dataset import gate_graph
 from m3d_fault_loc.graph.builder import build_circuit_graph
-from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
-from m3d_fault_loc.model.optim import Adam
-from m3d_fault_loc.obs.profile import PhaseProfiler, phase
+from m3d_fault_loc.model.optim import Adam, train_epoch
+from m3d_fault_loc.obs.profile import PhaseProfiler
 from m3d_fault_loc.scenarios import ScenarioSpec, registered_scenarios
 from m3d_fault_loc.serve.cache import LRUResultCache, graph_digest
 from m3d_fault_loc.serve.service import LocalizationService
@@ -42,16 +33,13 @@ class BenchContext:
 
     hidden: int = 32
     model_seed: int = 0
-    precision: str = "float64"
     batch_size: int = 16
     concurrency: int = 4
     requests_per_client: int = 8
     pool_workers: int = 4
 
     def make_model(self) -> DelayFaultLocalizer:
-        return DelayFaultLocalizer(
-            hidden=self.hidden, seed=self.model_seed, precision=self.precision
-        )
+        return DelayFaultLocalizer(hidden=self.hidden, seed=self.model_seed)
 
 
 def _case_graph_build(workload: Workload, ctx: BenchContext) -> PreparedCase:
@@ -134,43 +122,14 @@ def _case_node_scores_batch(workload: Workload, ctx: BenchContext) -> PreparedCa
     return fn, {"graphs_per_call": len(graphs), "batch_size": ctx.batch_size}, None
 
 
-def legacy_node_scores_batch(
-    model: DelayFaultLocalizer, graphs: Sequence[CircuitGraph]
-) -> list[np.ndarray]:
-    """The pre-optimization batch forward, preserved as the bench baseline:
-    rebuilds every per-graph operator, re-packs them with ``block_diag``,
-    re-casts features, and allocates every intermediate — per call."""
-    sizes = [g.num_nodes for g in graphs]
-    x = np.concatenate([g.x.astype(np.float64) for g in graphs], axis=0)
-    # m3dlint: disable=M3D208 reason=deliberate pre-PR baseline the harness measures against
-    m = sp.block_diag([build_in_neighbor_mean(g) for g in graphs], format="csr")
-    p = model.params
-    mx = m @ x
-    a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
-    h1 = np.maximum(a1, 0.0)
-    mh1 = m @ h1
-    a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
-    h2 = np.maximum(a2, 0.0)
-    logits = (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
-    return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
-
-
-def _case_node_scores_batch_legacy(workload: Workload, ctx: BenchContext) -> PreparedCase:
-    model = ctx.make_model()
-    graphs, _ = repeat_batch(workload, ctx.batch_size)
-
-    def fn() -> int:
-        return len(legacy_node_scores_batch(model, graphs))
-
-    return fn, {"graphs_per_call": len(graphs), "batch_size": ctx.batch_size}, None
-
-
-def _case_e2e_localize(workload: Workload, ctx: BenchContext) -> PreparedCase:
-    """End-to-end ``localize()`` under concurrent clients: contract gate,
-    digest, admission queue, micro-batcher, forward pass, result build.
-    The result cache is shrunk to one entry so repeats measure the pipeline,
-    not memoization; the aggregation-operator cache stays warm, as in
-    production."""
+def _e2e_case(
+    workload: Workload, ctx: BenchContext, num_workers: int, clients: int
+) -> PreparedCase:
+    """End-to-end ``localize()`` under ``clients`` concurrent threads against
+    ``num_workers`` digest-sharded workers: contract gate, digest, admission
+    queue, micro-batcher, forward pass, result build. The result cache is
+    shrunk to one entry so repeats measure the pipeline, not memoization;
+    the aggregation-operator cache stays warm, as in production."""
     service = LocalizationService(
         model=ctx.make_model(),
         cache_size=1,
@@ -179,55 +138,10 @@ def _case_e2e_localize(workload: Workload, ctx: BenchContext) -> PreparedCase:
         max_queue=4096,
         request_timeout_s=120.0,
         watchdog_interval_s=None,
+        num_workers=num_workers,
     )
     service.start()
-    pool = ThreadPoolExecutor(max_workers=ctx.concurrency, thread_name_prefix="bench-client")
-    graphs = workload.graphs
-    per_client = ctx.requests_per_client
-
-    def client(offset: int) -> int:
-        done = 0
-        for i in range(per_client):
-            graph = graphs[(offset + i) % len(graphs)]
-            service.localize(graph, top_k=3)
-            done += 1
-        return done
-
-    def fn() -> int:
-        futures = [pool.submit(client, i * per_client) for i in range(ctx.concurrency)]
-        return sum(f.result() for f in futures)
-
-    def cleanup() -> None:
-        pool.shutdown(wait=True)
-        service.close()
-
-    meta = {
-        "requests_per_call": ctx.concurrency * per_client,
-        "concurrency": ctx.concurrency,
-        "result_cache": "defeated (capacity=1)",
-    }
-    return fn, meta, cleanup
-
-
-def _case_e2e_localize_pool(workload: Workload, ctx: BenchContext) -> PreparedCase:
-    """The ``e2e_localize`` pipeline against a ``pool_workers``-wide sharded
-    worker pool under doubled client concurrency — the scale-out data point.
-    Same defeated result cache, same micro-batcher; the only variable is N
-    digest-sharded workers draining the admission queues in parallel, so
-    the trajectory shows what the pool buys over the 1-worker topology."""
-    service = LocalizationService(
-        model=ctx.make_model(),
-        cache_size=1,
-        max_batch=ctx.batch_size,
-        batch_window_s=0.002,
-        max_queue=4096,
-        request_timeout_s=120.0,
-        watchdog_interval_s=None,
-        num_workers=ctx.pool_workers,
-    )
-    service.start()
-    clients = ctx.concurrency * 2
-    pool = ThreadPoolExecutor(max_workers=clients, thread_name_prefix="bench-pool-client")
+    pool = ThreadPoolExecutor(max_workers=clients, thread_name_prefix="bench-client")
     graphs = workload.graphs
     per_client = ctx.requests_per_client
 
@@ -250,10 +164,23 @@ def _case_e2e_localize_pool(workload: Workload, ctx: BenchContext) -> PreparedCa
     meta = {
         "requests_per_call": clients * per_client,
         "concurrency": clients,
-        "pool_workers": ctx.pool_workers,
         "result_cache": "defeated (capacity=1)",
     }
     return fn, meta, cleanup
+
+
+def _case_e2e_localize(workload: Workload, ctx: BenchContext) -> PreparedCase:
+    return _e2e_case(workload, ctx, num_workers=1, clients=ctx.concurrency)
+
+
+def _case_e2e_localize_pool(workload: Workload, ctx: BenchContext) -> PreparedCase:
+    """The scale-out point: ``pool_workers`` digest-sharded workers under
+    doubled client concurrency, so the trajectory shows what the pool buys
+    over the 1-worker topology."""
+    fn, meta, cleanup = _e2e_case(
+        workload, ctx, num_workers=ctx.pool_workers, clients=ctx.concurrency * 2
+    )
+    return fn, {**meta, "pool_workers": ctx.pool_workers}, cleanup
 
 
 def _case_scenario_generate(workload: Workload, ctx: BenchContext) -> PreparedCase:
@@ -284,24 +211,15 @@ def _case_scenario_generate(workload: Workload, ctx: BenchContext) -> PreparedCa
 
 
 def _case_train_epoch(workload: Workload, ctx: BenchContext) -> PreparedCase:
-    """One full training epoch over the workload graphs: per-graph
-    ``loss_and_grads`` backward passes, gradient accumulation, and an Adam
-    step per minibatch — the ``m3d-train`` inner loop on production code."""
+    """One full training epoch over the workload graphs: the ``m3d-train``
+    inner loop, :func:`~m3d_fault_loc.model.optim.train_epoch`, on
+    production code."""
     model = ctx.make_model()
     optimizer = Adam(model.params, lr=1e-3)
     graphs = workload.graphs
 
     def fn() -> float:
-        total_loss = 0.0
-        for start in range(0, len(graphs), ctx.batch_size):
-            batch = graphs[start : start + ctx.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-            for graph in batch:
-                loss, g = model.loss_and_grads(graph)
-                total_loss += loss
-                for k in grads:
-                    grads[k] += g[k] / len(batch)
-            optimizer.step(grads)
+        total_loss, _ = train_epoch(model, optimizer, graphs, ctx.batch_size)
         return total_loss
 
     meta = {"graphs_per_call": len(graphs), "batch_size": ctx.batch_size}
@@ -309,9 +227,8 @@ def _case_train_epoch(workload: Workload, ctx: BenchContext) -> PreparedCase:
 
 
 def _case_train_epoch_profiled(workload: Workload, ctx: BenchContext) -> PreparedCase:
-    """The same epoch with an active :class:`PhaseProfiler`: measures the
+    """The same epoch under an active :class:`PhaseProfiler`: measures the
     enabled-path overhead of the ``m3d-train --profile`` phase brackets
-    (forward/backward inside ``loss_and_grads``, plus optimizer_step here)
     against the plain ``train_epoch`` case."""
     model = ctx.make_model()
     optimizer = Adam(model.params, lr=1e-3)
@@ -319,18 +236,8 @@ def _case_train_epoch_profiled(workload: Workload, ctx: BenchContext) -> Prepare
     profiler = PhaseProfiler()
 
     def fn() -> float:
-        total_loss = 0.0
         with profiler:
-            for start in range(0, len(graphs), ctx.batch_size):
-                batch = graphs[start : start + ctx.batch_size]
-                grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-                for graph in batch:
-                    loss, g = model.loss_and_grads(graph)
-                    total_loss += loss
-                    for k in grads:
-                        grads[k] += g[k] / len(batch)
-                with phase("optimizer_step"):
-                    optimizer.step(grads)
+            total_loss, _ = train_epoch(model, optimizer, graphs, ctx.batch_size)
         profiler.drain()
         return total_loss
 
@@ -346,7 +253,6 @@ CASES: dict[str, Callable[[Workload, BenchContext], PreparedCase]] = {
     "cache_lookup": _case_cache_lookup,
     "node_scores": _case_node_scores,
     "node_scores_batch": _case_node_scores_batch,
-    "node_scores_batch_legacy": _case_node_scores_batch_legacy,
     "train_epoch": _case_train_epoch,
     "train_epoch_profiled": _case_train_epoch_profiled,
     "scenario_generate": _case_scenario_generate,
@@ -361,7 +267,6 @@ CASE_DESCRIPTIONS: dict[str, str] = {
     "cache_lookup": "LRU result-cache get() at a 50% hit rate",
     "node_scores": "single-graph forward pass (warm operator cache)",
     "node_scores_batch": "batched forward, cached operators + segment-offset stacking",
-    "node_scores_batch_legacy": "pre-PR batched forward: block_diag rebuild every call",
     "train_epoch": "one m3d-train epoch: loss_and_grads + Adam over the workload",
     "train_epoch_profiled": "same epoch with the phase profiler active (bracket overhead)",
     "scenario_generate": "tiny seeded dataset from every registered scenario generator",

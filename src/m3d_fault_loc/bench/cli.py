@@ -39,9 +39,6 @@ EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
 EXIT_USAGE = 2
 
-#: Derived headline: optimized vs legacy batched forward, per workload.
-SPEEDUP_KEY = "node_scores_batch_speedup"
-
 
 def next_bench_path(directory: Path) -> Path:
     """First unused ``BENCH_<n>.json`` in ``directory``, counting from 1."""
@@ -108,36 +105,11 @@ def run_benchmarks(
             "cases": case_names,
             "batch_size": ctx.batch_size,
             "concurrency": ctx.concurrency,
-            "precision": ctx.precision,
             "hidden": ctx.hidden,
         },
         "results": results,
     }
-    payload["derived"] = derive_speedups(payload)
     return payload
-
-
-def derive_speedups(payload: dict[str, Any]) -> dict[str, Any]:
-    """Headline ratios: legacy median / optimized median, per workload."""
-    rows = index_results(payload)
-    speedups: dict[str, float] = {}
-    for (case, workload), row in rows.items():
-        if case != "node_scores_batch":
-            continue
-        legacy = rows.get(("node_scores_batch_legacy", workload))
-        if legacy is None:
-            continue
-        optimized = row["stats"]["median_s"]
-        if optimized > 0:
-            speedups[workload] = round(legacy["stats"]["median_s"] / optimized, 3)
-    derived: dict[str, Any] = {}
-    if speedups:
-        ordered = sorted(speedups.values())
-        derived[SPEEDUP_KEY] = {
-            **speedups,
-            "median": round(ordered[len(ordered) // 2], 3),
-        }
-    return derived
 
 
 def _resolve_cases(raw: str | None) -> list[str]:
@@ -174,7 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     warmup = args.warmup if args.warmup is not None else (1 if args.quick else 2)
     ctx = BenchContext(
         hidden=args.hidden,
-        precision=args.precision,
         batch_size=args.batch_size,
         concurrency=2 if args.quick and args.concurrency is None else (args.concurrency or 4),
         requests_per_client=2 if args.quick else 8,
@@ -197,12 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else next_bench_path(args.dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    speedups = payload["derived"].get(SPEEDUP_KEY)
-    if speedups:
-        per_size = ", ".join(
-            f"{k}={v}x" for k, v in speedups.items() if k != "median"
-        )
-        print(f"node_scores_batch speedup vs legacy: median {speedups['median']}x ({per_size})")
     print(f"wrote {out}")
     return EXIT_CLEAN
 
@@ -318,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="unrecorded warmup calls per case (default: 2, quick: 1)")
     run.add_argument("--seed", type=int, default=2022, help="global RNG seed")
     run.add_argument("--hidden", type=int, default=32, help="model hidden width")
-    run.add_argument("--precision", choices=("float64", "float32"), default="float64",
-                     help="model compute dtype")
     run.add_argument("--batch-size", type=int, default=16,
                      help="graphs per batched forward in the batch cases")
     run.add_argument("--concurrency", type=int, default=None,

@@ -20,8 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.telemetry import TelemetryWriter
@@ -30,21 +28,17 @@ from m3d_fault_loc.scenarios import (
     ScenarioSpec,
     build_scenario_engine,
     get_scenario,
+    hit_at_k,
     scenario_names,
 )
 from m3d_fault_loc.utils.seed import seed_everything
 
 
-def top_k_accuracy(model: DelayFaultLocalizer, dataset: CircuitGraphDataset, k: int) -> float:
-    """Fraction of graphs whose fault origin ranks in the top-k node scores."""
-    if len(dataset) == 0:
-        return 0.0
-    hits = 0
-    for graph in dataset:
-        scores = model.node_scores(graph)
-        top = np.argsort(scores)[::-1][:k]
-        hits += int(graph.fault_index in top)
-    return hits / len(dataset)
+def _positive_int(value: str) -> int:
+    k = int(value)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-gates", type=int, default=40)
     parser.add_argument("--n-inputs", type=int, default=6)
     parser.add_argument("--num-tiers", type=int, default=2)
-    parser.add_argument("--top-k", type=int, default=3)
+    parser.add_argument("--top-k", type=_positive_int, default=3)
     parser.add_argument("--scenario", choices=scenario_names(), default=DEFAULT_SCENARIO,
                         help="fault scenario: picks the generator, contract rules, and metric")
     parser.add_argument("--data-dir", type=Path, default=None,
@@ -95,9 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     # Legacy hit@k on fault_index stays unconditional — every scenario labels a
     # primary site — so downstream telemetry consumers keep their fields.
-    top1 = top_k_accuracy(model, dataset, 1)
-    topk = top_k_accuracy(model, dataset, args.top_k)
-    scenario_metrics = scenario.evaluate(model, list(dataset), k=args.top_k)
+    graphs = list(dataset)
+    top1 = hit_at_k(model, graphs, 1)
+    topk = hit_at_k(model, graphs, args.top_k)
+    scenario_metrics = scenario.evaluate(model, graphs, k=args.top_k)
     print(f"evaluated {len(dataset)} graphs (scenario: {scenario.name})")
     print(f"top-1 localization accuracy: {top1:.3f}")
     print(f"top-{args.top_k} localization accuracy: {topk:.3f}")

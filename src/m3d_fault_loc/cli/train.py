@@ -32,12 +32,7 @@ import numpy as np
 
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
-from m3d_fault_loc.model.optim import (
-    Adam,
-    NonFiniteLossError,
-    clip_by_global_norm,
-    global_grad_norm,
-)
+from m3d_fault_loc.model.optim import Adam, NonFiniteLossError, train_epoch
 from m3d_fault_loc.obs.profile import PhaseProfiler, phase
 from m3d_fault_loc.obs.telemetry import TelemetryWriter
 from m3d_fault_loc.scenarios import (
@@ -45,17 +40,10 @@ from m3d_fault_loc.scenarios import (
     ScenarioSpec,
     build_scenario_engine,
     get_scenario,
+    hit_at_k,
     scenario_names,
 )
 from m3d_fault_loc.utils.seed import seed_everything
-
-
-def localization_accuracy(model: DelayFaultLocalizer, dataset: CircuitGraphDataset) -> float:
-    """Fraction of graphs whose top-scored node is the true fault origin."""
-    if len(dataset) == 0:
-        return 0.0
-    hits = sum(1 for g in dataset if model.predict(g) == g.fault_index)
-    return hits / len(dataset)
 
 
 def train(
@@ -72,7 +60,9 @@ def train(
     scenario: str | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> DelayFaultLocalizer:
-    """Full-batch-per-graph training with minibatch gradient accumulation.
+    """Full-batch-per-graph training with minibatch gradient accumulation:
+    :func:`~m3d_fault_loc.model.optim.train_epoch` once per epoch over a
+    fresh ``rng`` permutation of ``dataset``.
 
     A NaN/inf loss raises :class:`NonFiniteLossError` immediately — a model
     trained past that point is garbage, and saving it would poison every
@@ -89,33 +79,10 @@ def train(
     with profiler if profiler is not None else nullcontext():
         for epoch in range(epochs):
             epoch_t0 = time.perf_counter()
-            order = rng.permutation(len(dataset))
-            total_loss = 0.0
-            max_norm = 0.0
-            for start in range(0, len(order), batch_size):
-                batch = order[start : start + batch_size]
-                grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-                for i in batch:
-                    with phase("data_gen"):
-                        graph = dataset[int(i)]
-                    loss, g = model.loss_and_grads(graph)
-                    if not np.isfinite(loss):
-                        raise NonFiniteLossError(
-                            f"non-finite loss {loss!r} at epoch {epoch}, graph index "
-                            f"{int(i)} ({graph.name}); lower --lr or pass --clip-norm"
-                        )
-                    total_loss += loss
-                    for k in grads:
-                        grads[k] += g[k] / len(batch)
-                with phase("optimizer_step"):
-                    if clip_norm is not None:
-                        norm = clip_by_global_norm(grads, clip_norm)
-                    elif telemetry is not None:
-                        norm = global_grad_norm(grads)
-                    else:
-                        norm = 0.0
-                    max_norm = max(max_norm, norm)
-                    optimizer.step(grads)
+            graphs = [dataset[int(i)] for i in rng.permutation(len(dataset))]
+            total_loss, max_norm = train_epoch(
+                model, optimizer, graphs, batch_size, clip_norm=clip_norm, epoch=epoch
+            )
             if telemetry is not None:
                 tagged = {} if scenario is None else {"scenario": scenario}
                 telemetry.emit(
@@ -129,7 +96,7 @@ def train(
                 )
             if log is not None and (epoch == epochs - 1 or epoch % 5 == 0):
                 with phase("eval"):
-                    acc = localization_accuracy(model, dataset)
+                    acc = hit_at_k(model, list(dataset), 1)
                 log(
                     f"epoch {epoch:3d}  loss {total_loss / max(len(dataset), 1):.4f}  "
                     f"train-acc {acc:.3f}"
@@ -236,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             telemetry.close()
         return 1
-    test_acc = localization_accuracy(model, test_set)
+    test_acc = hit_at_k(model, list(test_set), 1)
     print(f"held-out localization accuracy: {test_acc:.3f}")
     if telemetry is not None:
         telemetry.emit(

@@ -7,8 +7,7 @@ every per-graph operator on every request. Both are pure functions of the
 graph *topology*, which in a serving workload repeats far more often than
 the feature matrix does — so this module makes them cacheable:
 
-- :func:`build_in_neighbor_mean` is the one true operator constructor
-  (``m3d_fault_loc.model.localizer.in_neighbor_mean`` delegates here);
+- :func:`build_in_neighbor_mean` is the one operator constructor;
 - :class:`AggregationOperatorCache` is a byte-bounded, thread-safe LRU of
   built operators keyed by a content digest (the serve layer passes the
   request digest it already computed; standalone callers get a cheaper
@@ -46,15 +45,15 @@ DEFAULT_CAPACITY_BYTES = 64 * 1024 * 1024
 DEFAULT_MAX_ENTRIES = 1024
 
 
-def build_in_neighbor_mean(graph: CircuitGraph, dtype: np.dtype | type = np.float64) -> sp.csr_matrix:
+def build_in_neighbor_mean(graph: CircuitGraph) -> sp.csr_matrix:
     """Row-normalized in-neighbor aggregation matrix M, so ``(M @ H)[i]`` is
     the mean feature of i's upstream drivers (zero row for PIs)."""
     n = graph.num_nodes
     if graph.num_edges == 0:
-        return sp.csr_matrix((n, n), dtype=dtype)
+        return sp.csr_matrix((n, n))
     src, dst = graph.edge_index[0], graph.edge_index[1]
     indeg = np.maximum(graph.in_degrees(), 1).astype(np.float64)
-    weights = (1.0 / indeg[dst]).astype(dtype, copy=False)
+    weights = 1.0 / indeg[dst]
     m = sp.csr_matrix((weights, (dst, src)), shape=(n, n))
     m.sort_indices()
     return m
@@ -148,19 +147,9 @@ class AggregationOperatorCache:
         self.misses = 0
         self.evictions = 0
 
-    def _key(self, graph: CircuitGraph, dtype: np.dtype, digest: str | None) -> str:
-        base = digest if digest is not None else topology_digest(graph)
-        return f"{np.dtype(dtype)}:{base}"
-
-    def get_or_build(
-        self,
-        graph: CircuitGraph,
-        dtype: np.dtype | type = np.float64,
-        digest: str | None = None,
-    ) -> sp.csr_matrix:
+    def get_or_build(self, graph: CircuitGraph, digest: str | None = None) -> sp.csr_matrix:
         """Cached operator for ``graph``, building (and retaining) on a miss."""
-        dtype = np.dtype(dtype)
-        key = self._key(graph, dtype, digest)
+        key = digest if digest is not None else topology_digest(graph)
         with self._lock:
             m = self._entries.get(key)
             if m is not None:
@@ -168,7 +157,7 @@ class AggregationOperatorCache:
                 self.hits += 1
                 return m
             self.misses += 1
-        m = build_in_neighbor_mean(graph, dtype=dtype)
+        m = build_in_neighbor_mean(graph)
         cost = operator_nbytes(m)
         with self._lock:
             if cost <= self.capacity_bytes and key not in self._entries:
@@ -180,14 +169,13 @@ class AggregationOperatorCache:
     def batch_operator(
         self,
         graphs: Sequence[CircuitGraph],
-        dtype: np.dtype | type = np.float64,
         digests: Sequence[str | None] | None = None,
     ) -> sp.csr_matrix:
         """Block-diagonal batch operator assembled from cached per-graph CSRs."""
         if digests is not None and len(digests) != len(graphs):
             raise ValueError(f"got {len(digests)} digests for {len(graphs)} graphs")
         ops = [
-            self.get_or_build(g, dtype=dtype, digest=digests[i] if digests else None)
+            self.get_or_build(g, digest=digests[i] if digests else None)
             for i, g in enumerate(graphs)
         ]
         return stack_block_diagonal(ops)

@@ -1,10 +1,19 @@
 """Minimal numpy Adam optimizer for the localizer's parameter dict,
-plus training-stability helpers (global-norm gradient clipping and the
-non-finite-loss guard exception)."""
+training-stability helpers (global-norm gradient clipping and the
+non-finite-loss guard exception), and :func:`train_epoch`, the one epoch
+loop that ``m3d-train`` and the ``m3d-bench`` training cases share."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
 import numpy as np
+
+from m3d_fault_loc.graph.schema import CircuitGraph
+from m3d_fault_loc.obs.profile import phase
+
+if TYPE_CHECKING:
+    from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 
 
 class NonFiniteLossError(RuntimeError):
@@ -64,3 +73,49 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def train_epoch(
+    model: DelayFaultLocalizer,
+    optimizer: Adam,
+    graphs: Sequence[CircuitGraph],
+    batch_size: int,
+    clip_norm: float | None = None,
+    epoch: int = 0,
+) -> tuple[float, float]:
+    """One pass over ``graphs`` in order, one optimizer step per minibatch.
+
+    Each graph's gradient is divided by the size of its own minibatch (a
+    short last batch included) and accumulated; ``clip_norm`` clips the
+    accumulated gradient to that global L2 norm before the step. Returns
+    ``(total_loss, max_norm)``: the summed per-graph loss and the largest
+    pre-clip gradient norm of the epoch. A NaN/inf loss raises
+    :class:`NonFiniteLossError` before any further step — a model trained
+    past that point is garbage. ``epoch`` only labels that error.
+    """
+    total_loss = 0.0
+    max_norm = 0.0
+    for start in range(0, len(graphs), batch_size):
+        n = min(batch_size, len(graphs) - start)
+        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        for i in range(start, start + n):
+            # Bracketed per graph: --profile reports one data_gen call per graph.
+            with phase("data_gen"):
+                graph = graphs[i]
+            loss, g = model.loss_and_grads(graph)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(
+                    f"non-finite loss {loss!r} at epoch {epoch}, graph {graph.name!r}; "
+                    "lower --lr or pass --clip-norm"
+                )
+            total_loss += loss
+            for k in grads:
+                grads[k] += g[k] / n
+        with phase("optimizer_step"):
+            if clip_norm is not None:
+                norm = clip_by_global_norm(grads, clip_norm)
+            else:
+                norm = global_grad_norm(grads)
+            max_norm = max(max_norm, norm)
+            optimizer.step(grads)
+    return total_loss, max_norm

@@ -99,13 +99,23 @@ class Scenario(ABC):
 
 
 def rank_nodes(model: ScoringModel, graph: CircuitGraph, k: int) -> np.ndarray:
-    """Indices of the top-``k`` scored nodes, best first."""
+    """Indices of the top-``k`` scored nodes, best first (``k >= 1``)."""
+    # A non-positive k would slice from the end: [::-1][:-1] keeps every
+    # node but one, so hit@-1 would read as a near-perfect score.
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     scores = model.node_scores(graph)
     return np.argsort(scores)[::-1][:k]
 
 
 def hit_at_k(model: ScoringModel, graphs: Sequence[CircuitGraph], k: int) -> float:
-    """Fraction of graphs whose ``fault_index`` ranks in the top-k scores."""
+    """Fraction of graphs whose ``fault_index`` ranks in the top-k scores.
+
+    The one hit@k metric: ``m3d-train``, ``m3d-evaluate`` and the scenario
+    metrics all call it. Raises ``ValueError`` for ``k < 1``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not graphs:
         return 0.0
     hits = sum(1 for g in graphs if g.fault_index in rank_nodes(model, g, k))

@@ -12,7 +12,7 @@ Layers, bottom up:
   hot-reloads from.
 - :mod:`m3d_fault_loc.serve.service` — :class:`LocalizationService`: a
   thread-safe request queue micro-batching graphs through
-  ``DelayFaultLocalizer.predict_batch``, with every request gated by the
+  ``DelayFaultLocalizer.node_scores_batch``, with every request gated by the
   m3dlint contract engine (ERROR findings reject, never a wrong answer).
 - :mod:`m3d_fault_loc.serve.resilience` — deadlines, load shedding,
   circuit breaker, health state machine, and retry/backoff policies that

@@ -136,16 +136,15 @@ def test_distinct_topologies_never_share_an_entry(graphs):
         seen[key] = graph.num_nodes
 
 
-def test_caller_digest_and_dtype_partition_the_key_space(graphs):
+def test_caller_digests_partition_the_key_space(graphs):
     cache = AggregationOperatorCache()
     graph = graphs[0]
-    cache.get_or_build(graph, digest="digest-a")
+    by_a = cache.get_or_build(graph, digest="digest-a")
     cache.get_or_build(graph, digest="digest-b")
-    cache.get_or_build(graph, dtype=np.float32, digest="digest-a")
-    assert len(cache) == 3  # distinct keys, no cross-dtype or cross-digest hits
-    assert cache.get_or_build(graph, digest="digest-a").dtype == np.float64
-    assert cache.get_or_build(graph, dtype=np.float32, digest="digest-a").dtype == np.float32
-    assert cache.stats()["hits"] == 2
+    cache.get_or_build(graph)  # topology-keyed
+    assert len(cache) == 3  # distinct keys, no cross-digest hits
+    assert cache.get_or_build(graph, digest="digest-a") is by_a
+    assert cache.stats()["hits"] == 1
 
 
 # -- LRU eviction under the memory bound ------------------------------------

@@ -3,8 +3,8 @@
 The regression tripwire is only trustworthy if (a) the schema validator
 rejects malformed files before ratios are computed, (b) ``compare`` exits
 non-zero on a genuine slowdown (asserted here by injecting a synthetic
-regression), and (c) the committed legacy baseline really computes the same
-scores as the optimized path it is measured against.
+regression), and (c) the forward pass the batch cases time computes the
+same floats as the plain reference expression (``tests/forward_reference.py``).
 """
 
 import copy
@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m3d_fault_loc.bench.cases import CASES, BenchContext, legacy_node_scores_batch
+from fixture_graphs import make_clean_graph, make_high_fanout_graph
+from forward_reference import forward_reference
+from m3d_fault_loc.bench.cases import CASES, BenchContext
 from m3d_fault_loc.bench.cli import (
     EXIT_CLEAN,
     EXIT_REGRESSION,
     EXIT_USAGE,
-    SPEEDUP_KEY,
     compare_payloads,
     main,
     next_bench_path,
@@ -35,6 +36,7 @@ from m3d_fault_loc.bench.harness import (
 from m3d_fault_loc.bench.workloads import WorkloadSpec, build_workload, repeat_batch
 
 TINY = WorkloadSpec(name="tiny", n_graphs=4, n_gates=10, n_inputs=3)
+BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 # -- timing methodology -----------------------------------------------------
@@ -81,21 +83,28 @@ def test_repeat_batch_cycles_graphs_with_matching_digests():
         assert digest == workload.digests[i % TINY.n_graphs]
 
 
-# -- baseline fidelity ------------------------------------------------------
+# -- forward fidelity -------------------------------------------------------
 
 
-def test_legacy_baseline_matches_optimized_batch_exactly():
-    """The before/after headline is meaningless unless both paths compute
-    identical scores; the optimization never traded accuracy for speed."""
+def test_forward_matches_reference_oracle_exactly():
+    """Cached operators, segment-offset stacking and out= scratch buffers
+    never trade accuracy for speed: node_scores and node_scores_batch equal
+    the plain allocating expression bit for bit (graphs of >= 2 nodes)."""
+    model = BenchContext(hidden=16).make_model()
+    rng = np.random.default_rng(5)
+    for key in ("b1", "b2", "b3"):  # zero biases would hide an add-order change
+        model.params[key][:] = rng.normal(size=model.params[key].shape)
     workload = build_workload(TINY)
-    ctx = BenchContext(hidden=16)
-    model = ctx.make_model()
-    graphs, digests = repeat_batch(workload, batch_size=9)
-    optimized = model.node_scores_batch(graphs, digests=digests)
-    legacy = legacy_node_scores_batch(model, graphs)
-    assert len(optimized) == len(legacy) == 9
-    for opt, leg in zip(optimized, legacy):
-        assert np.array_equal(opt, leg)
+    tiny_batch, digests = repeat_batch(workload, batch_size=9)
+    fixtures = [make_clean_graph(), make_high_fanout_graph(n_sinks=4), make_clean_graph(3)]
+    for graphs, keys in ((tiny_batch, digests), (fixtures, None)):
+        assert min(g.num_nodes for g in graphs) >= 2
+        expected = forward_reference(model, graphs)
+        batched = model.node_scores_batch(graphs, digests=keys)
+        assert len(batched) == len(expected) == len(graphs)
+        for graph, got, want in zip(graphs, batched, expected):
+            assert np.array_equal(got, want)
+            assert np.array_equal(model.node_scores(graph), want)
 
 
 # -- run + schema -----------------------------------------------------------
@@ -120,12 +129,6 @@ def test_run_benchmarks_emits_schema_valid_payload(quick_payload):
     assert quick_payload["schema_version"] == BENCH_SCHEMA_VERSION
     covered = {row["case"] for row in quick_payload["results"]}
     assert covered == set(CASES)
-
-
-def test_run_benchmarks_derives_speedup_headline(quick_payload):
-    speedups = quick_payload["derived"][SPEEDUP_KEY]
-    assert "tiny" in speedups and "median" in speedups
-    assert speedups["median"] > 0
 
 
 def test_validate_payload_rejects_malformed_files(quick_payload):
@@ -192,6 +195,34 @@ def test_compare_cli_exits_nonzero_on_injected_regression(tmp_path, quick_payloa
     assert "REGRESSION" in capsys.readouterr().out
     # identical files are clean under the same tripwire
     assert main(["compare", str(old), str(old), "--fail-on-regression", "200"]) == EXIT_CLEAN
+
+
+def test_compare_gates_on_shared_rows_of_an_older_payload(tmp_path, quick_payload, capsys):
+    """Committed baselines keep rows for retired cases
+    (``node_scores_batch_legacy``), retired config keys (``precision``) and
+    a ``derived`` block; compare checks only the rows both files share."""
+    old = copy.deepcopy(quick_payload)
+    retired = copy.deepcopy(old["results"][0])
+    retired["case"] = "node_scores_batch_legacy"
+    old["results"].append(retired)
+    old["config"]["precision"] = "float64"
+    old["derived"] = {"node_scores_batch_speedup": {"tiny": 3.7, "median": 3.7}}
+    assert validate_payload(old) == []
+    old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+    old_path.write_text(json.dumps(old))
+    new_path.write_text(json.dumps(quick_payload))
+    rc = main(["compare", str(old_path), str(new_path), "--fail-on-regression", "200"])
+    assert rc == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "node_scores_batch_legacy" not in out
+    assert f"{len(quick_payload['results'])} case(s) compared" in out
+
+
+@pytest.mark.parametrize("name", ["BENCH_baseline_quick.json", "BENCH_1.json"])
+def test_committed_bench_files_stay_valid(name):
+    payload = json.loads((BENCHMARKS_DIR / name).read_text())
+    assert validate_payload(payload) == []
+    assert {row["case"] for row in payload["results"]} & set(CASES)
 
 
 def test_compare_cli_rejects_disjoint_and_invalid_inputs(tmp_path, quick_payload):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from m3d_fault_loc.cli.train import localization_accuracy, train
+from m3d_fault_loc.cli.train import train
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer, in_neighbor_mean
+from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import hit_at_k
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +21,7 @@ def dataset():
 
 def test_in_neighbor_mean_rows(dataset):
     graph = dataset[0]
-    m = in_neighbor_mean(graph)
+    m = build_in_neighbor_mean(graph)
     rows = np.asarray(m.sum(axis=1)).ravel()
     indeg = graph.in_degrees()
     assert np.allclose(rows[indeg > 0], 1.0)
@@ -47,9 +49,9 @@ def test_gradients_match_finite_differences(dataset):
 def test_training_beats_untrained_baseline(dataset):
     rng = np.random.default_rng(2)
     untrained = DelayFaultLocalizer(hidden=16, seed=0)
-    baseline = localization_accuracy(untrained, dataset)
+    baseline = hit_at_k(untrained, list(dataset), 1)
     model = train(dataset, rng, epochs=12, batch_size=8, hidden=16, seed=0, log=None)
-    trained = localization_accuracy(model, dataset)
+    trained = hit_at_k(model, list(dataset), 1)
     chance = 1.0 / dataset[0].num_nodes
     assert trained >= 0.5
     assert trained > max(baseline, chance) + 0.2
@@ -90,7 +92,7 @@ def test_save_load_carries_artifact_metadata(tmp_path):
 
 
 def test_batch_inference_matches_per_graph_exactly(dataset):
-    """predict_batch / node_scores_batch are the same floats, not approximations."""
+    """node_scores_batch gives the same floats as node_scores, not approximations."""
     model = DelayFaultLocalizer(hidden=16, seed=7)
     graphs = [dataset[i] for i in range(6)]
     batched = model.node_scores_batch(graphs)
@@ -98,8 +100,7 @@ def test_batch_inference_matches_per_graph_exactly(dataset):
     for graph, scores in zip(graphs, batched, strict=True):
         assert scores.shape == (graph.num_nodes,)
         assert np.array_equal(scores, model.node_scores(graph))
-    assert model.predict_batch(graphs) == [model.predict(g) for g in graphs]
-    assert model.predict_batch([]) == []
+    assert model.node_scores_batch([]) == []
 
 
 def test_batch_inference_matches_on_fixture_graphs():
@@ -149,34 +150,9 @@ def test_digest_keyed_scoring_hits_operator_cache(dataset):
     assert np.array_equal(first, second)
 
 
-def test_float32_precision_tracks_float64_within_tolerance(dataset):
-    f64 = DelayFaultLocalizer(hidden=16, seed=7)
-    f32 = DelayFaultLocalizer(hidden=16, seed=7, precision="float32")
-    for graph in (dataset[0], dataset[1]):
-        exact = f64.node_scores(graph)
-        approx = f32.node_scores(graph)
-        assert approx.dtype == np.float32
-        np.testing.assert_allclose(approx, exact, rtol=1e-4, atol=1e-4)
-    batched = f32.node_scores_batch([dataset[0], dataset[1]])
-    for graph, scores in zip((dataset[0], dataset[1]), batched):
-        assert np.array_equal(scores, f32.node_scores(graph))
-
-
-def test_set_precision_validates_and_resnapshots(dataset):
-    model = DelayFaultLocalizer(hidden=8, seed=7, precision="float32")
-    with pytest.raises(ValueError, match="precision"):
-        model.set_precision("float16")
-    graph = dataset[0]
-    before = model.node_scores(graph)
-    model.params["b3"] += 1.0  # float32 forward reads a stale snapshot...
-    assert np.array_equal(model.node_scores(graph), before)
-    model.set_precision("float32")  # ...until the snapshot is refreshed
-    np.testing.assert_allclose(model.node_scores(graph), before + np.float32(1.0))
-
-
 def test_float64_forward_sees_in_place_param_updates(dataset):
-    """The default precision computes on params directly — an optimizer step
-    is visible with no re-snapshot, matching pre-precision-knob behavior."""
+    """The forward computes on params directly — an optimizer step is
+    visible to the next forward with no snapshot to refresh."""
     model = DelayFaultLocalizer(hidden=8, seed=7)
     graph = dataset[0]
     before = model.node_scores(graph)

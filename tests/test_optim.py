@@ -1,4 +1,5 @@
-"""Training-stability helpers: gradient clipping and the non-finite-loss guard."""
+"""Training helpers: gradient clipping, the non-finite-loss guard, and the
+shared ``train_epoch`` loop."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from m3d_fault_loc.data.dataset import CircuitGraphDataset
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.model.optim import (
+    Adam,
     NonFiniteLossError,
     clip_by_global_norm,
     global_grad_norm,
+    train_epoch,
 )
 
 
@@ -97,3 +100,74 @@ def test_train_cli_accepts_clip_norm_end_to_end(tmp_path, capsys):
     assert rc == 0
     assert out.exists()
     assert "held-out localization accuracy" in capsys.readouterr().out
+
+
+# -- train_epoch -----------------------------------------------------------
+
+
+class _ScalarModel:
+    """Each "graph" is a float g with loss g and gradient [g]."""
+
+    def __init__(self):
+        self.params = {"w": np.zeros(1)}
+
+    def loss_and_grads(self, graph):
+        return float(graph), {"w": np.array([float(graph)])}
+
+
+class _RecordingOptimizer:
+    def __init__(self):
+        self.steps = []
+
+    def step(self, grads):
+        self.steps.append(grads["w"].copy())
+
+
+def test_train_epoch_divides_each_gradient_by_its_own_minibatch_size():
+    optimizer = _RecordingOptimizer()
+    total_loss, max_norm = train_epoch(
+        _ScalarModel(), optimizer, [1.0, 2.0, 3.0, 4.0, 5.0], batch_size=4
+    )
+    # (1 + 2 + 3 + 4) / 4, then the short last batch of one divided by 1.
+    assert [float(g[0]) for g in optimizer.steps] == [2.5, 5.0]
+    assert total_loss == 15.0
+    assert max_norm == 5.0  # unclipped: the largest global norm of the epoch
+
+
+def test_train_epoch_clips_and_returns_max_preclip_norm():
+    optimizer = _RecordingOptimizer()
+    _, max_norm = train_epoch(
+        _ScalarModel(), optimizer, [1.0, 2.0, 3.0, 4.0, 5.0], batch_size=4, clip_norm=1.0
+    )
+    assert max_norm == 5.0
+    assert [float(g[0]) for g in optimizer.steps] == [1.0, 1.0]
+
+
+def test_train_epoch_nan_loss_names_epoch_graph_and_hint(monkeypatch):
+    def nan_loss(self, graph):
+        return float("nan"), {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    monkeypatch.setattr(DelayFaultLocalizer, "loss_and_grads", nan_loss)
+    graphs = list(tiny_dataset(n_graphs=3))
+    model = DelayFaultLocalizer(hidden=8)
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(NonFiniteLossError) as exc_info:
+        train_epoch(model, Adam(model.params), graphs, batch_size=2, epoch=3)
+    message = str(exc_info.value)
+    assert "epoch 3" in message
+    assert graphs[0].name in message
+    assert "--clip-norm" in message
+    for key, value in before.items():  # no optimizer step after the bad loss
+        assert np.array_equal(model.params[key], value)
+
+
+def test_seeded_train_runs_write_byte_identical_models(tmp_path, capsys):
+    outs = [tmp_path / "a.npz", tmp_path / "b.npz"]
+    for out in outs:
+        rc = train_cli.main(
+            ["--seed", "3", "--n-graphs", "12", "--n-gates", "10", "--epochs", "3",
+             "--hidden", "8", "--batch-size", "5", "--out", str(out)]
+        )
+        assert rc == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -21,9 +21,11 @@ from m3d_fault_loc.scenarios import (
     UnknownScenarioError,
     build_scenario_engine,
     get_scenario,
+    hit_at_k,
     register_scenario,
     scenario_names,
 )
+from m3d_fault_loc.scenarios.base import rank_nodes
 
 SPEC = ScenarioSpec(n_graphs=4, n_gates=14, n_inputs=3, num_tiers=2, seed=77)
 
@@ -215,6 +217,23 @@ def test_perfect_model_hits_multi_delay_fault_set():
     metrics = scenario.evaluate(Oracle(), graphs, k=4)
     assert metrics["coverage_at_k"] == 1.0
     assert metrics["hit_all_at_k"] == 1.0
+
+
+def test_hit_at_k_rejects_non_positive_k():
+    """A non-positive k would slice from the end of the ranking: hit@-1
+    kept every node but one and read as a near-perfect score."""
+    graphs = get_scenario("single_delay").generate(SPEC)
+    model = DelayFaultLocalizer(hidden=8, seed=1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            hit_at_k(model, graphs, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            hit_at_k(model, [], k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_nodes(model, graphs[0], k)
+    n = graphs[0].num_nodes
+    assert len(rank_nodes(model, graphs[0], 1)) == 1
+    assert hit_at_k(model, graphs, n) == 1.0  # every node ranked: always a hit
 
 
 def test_scenario_datasets_load_into_dataset_with_scenario_engine():

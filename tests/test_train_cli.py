@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from m3d_fault_loc.cli import evaluate as evaluate_cli
 from m3d_fault_loc.cli import train as train_cli
 from m3d_fault_loc.analysis.cli import EXIT_CLEAN
@@ -38,6 +40,16 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "top-1 localization accuracy" in out
     assert "top-3 localization accuracy" in out
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_evaluate_rejects_non_positive_top_k(tmp_path, capsys, bad):
+    """``--top-k -1`` once printed hit@k 1.000: [::-1][:-1] keeps every
+    node but one. argparse now refuses it before any model is loaded."""
+    with pytest.raises(SystemExit) as exc_info:
+        evaluate_cli.main(["--model", str(tmp_path / "missing.npz"), "--top-k", bad])
+    assert exc_info.value.code == 2
+    assert "--top-k: must be >= 1" in capsys.readouterr().err
 
 
 def test_train_refuses_contract_violating_data(tmp_path, capsys):
